@@ -1,11 +1,12 @@
 GO ?= go
 FUZZTIME ?= 30s
+FLAKE_COUNT ?= 20
 
 # Per-package statement-coverage floors enforced by `make cover`.
 COVER_FLOOR_core  = 70
 COVER_FLOOR_serve = 70
 
-.PHONY: build test check check-race race vet fmt bench bench-shards fuzz cover chaos overload flight shard replica failover
+.PHONY: build test check check-race race vet fmt bench bench-shards fuzz cover chaos overload flight shard replica failover flake
 
 build:
 	$(GO) build ./...
@@ -113,6 +114,12 @@ replica:
 # stream for CI.
 failover:
 	$(GO) test -race -run TestFailoverCompactionChaos -v $(FAILOVER_FLAGS) .
+
+# flake reruns the engine and replication suites under the race
+# detector FLAKE_COUNT times (default 20), so an intermittent failure
+# shows up in the change that introduces it rather than at random later.
+flake:
+	$(GO) test -race -count=$(FLAKE_COUNT) ./internal/core/... ./internal/replica/...
 
 # fuzz runs every fuzz target for FUZZTIME each (Go only allows one
 # -fuzz pattern per invocation). The seed corpora alone run in `make

@@ -109,7 +109,7 @@ func compareAckedGenerations[A any](t *testing.T, leader *graphbolt.Engine[float
 			t.Fatalf("gen %d: %d leader values, %d follower values", g, len(ls.Values), len(fs.Values))
 		}
 		for v := range ls.Values {
-			if math.Abs(ls.Values[v]-fs.Values[v]) > 1e-7 {
+			if math.Float64bits(ls.Values[v]) != math.Float64bits(fs.Values[v]) {
 				t.Fatalf("gen %d vertex %d: leader %v, follower %v", g, v, ls.Values[v], fs.Values[v])
 			}
 		}

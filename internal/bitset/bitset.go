@@ -47,6 +47,20 @@ func (b *Bitset) Get(i uint32) bool {
 	return atomic.LoadUint64(&b.words[i>>6])&(uint64(1)<<(i&63)) != 0
 }
 
+// Words exposes the backing words: bit i lives in word i/64 at
+// position i%64. Owner-computes loops write whole words with plain
+// stores, which is safe only while each word has a single writer and no
+// concurrent Set touches it.
+func (b *Bitset) Words() []uint64 { return b.words }
+
+// WordMask returns the bits of word wi that hold keys below Len.
+func (b *Bitset) WordMask(wi int) uint64 {
+	if lim := b.n - wi*64; lim < 64 {
+		return uint64(1)<<lim - 1
+	}
+	return ^uint64(0)
+}
+
 // Clear clears bit i. Not safe concurrently with Set on the same word.
 func (b *Bitset) Clear(i uint32) {
 	b.words[i>>6] &^= uint64(1) << (i & 63)

@@ -52,6 +52,20 @@ func TestCountAndMembers(t *testing.T) {
 	}
 }
 
+func TestWordsAndMask(t *testing.T) {
+	b := New(130)
+	if len(b.Words()) != 3 {
+		t.Fatalf("len(Words) = %d, want 3", len(b.Words()))
+	}
+	if b.WordMask(0) != ^uint64(0) || b.WordMask(1) != ^uint64(0) || b.WordMask(2) != 0b11 {
+		t.Fatalf("WordMask = %x %x %x", b.WordMask(0), b.WordMask(1), b.WordMask(2))
+	}
+	b.Words()[2] = 0b10 // plain store by the word's owner
+	if !b.Get(129) || b.Count() != 1 {
+		t.Fatal("word store not visible through Get/Count")
+	}
+}
+
 func TestRangeOrder(t *testing.T) {
 	b := New(500)
 	for _, k := range []uint32{300, 3, 77} {

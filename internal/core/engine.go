@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -35,7 +36,6 @@ type Engine[V, A any] struct {
 	agg  []A // running aggregates д_level
 	hist *deps.Store[A]
 
-	locks *parallel.StripedLocks
 	level int // completed BSP levels
 	ran   bool
 
@@ -63,12 +63,11 @@ func NewEngine[V, A any](g *graph.Graph, p Program[V, A], opts Options) (*Engine
 	}
 	opts = opts.withDefaults()
 	e := &Engine[V, A]{
-		p:     p,
-		pull:  isPull(p),
-		deg:   usesOutDegree(p),
-		opts:  opts,
-		g:     g,
-		locks: parallel.NewStripedLocks(),
+		p:    p,
+		pull: isPull(p),
+		deg:  usesOutDegree(p),
+		opts: opts,
+		g:    g,
 	}
 	if d, ok := any(p).(DeltaProgram[V, A]); ok && opts.Mode != ModeGraphBoltRP {
 		e.delta = d
@@ -255,7 +254,7 @@ func (e *Engine[V, A]) valueAt(v VertexID, level int) V {
 func (e *Engine[V, A]) runDelta(fromLevel int, seed *frontier.Frontier, maxLevel int) Stats {
 	var st Stats
 	n := e.g.NumVertices()
-	edgeWork := parallel.NewCounter()
+	var edgeWork int64
 	vertWork := parallel.NewCounter()
 
 	front := seed
@@ -266,96 +265,86 @@ func (e *Engine[V, A]) runDelta(fromLevel int, seed *frontier.Frontier, maxLevel
 		}
 		touched := bitset.New(n)
 
-		if e.pull {
-			e.pullLevel(first, front, touched, edgeWork)
-		} else if first {
-			// Level 1: full contributions from every vertex.
-			parallel.ForWorker(n, 64, func(worker, startV, endV int) {
-				var cnt int64
-				for u := startV; u < endV; u++ {
-					uid := VertexID(u)
-					ts, ws := e.g.OutNeighbors(uid)
-					deg := len(ts)
-					src := e.vals[u]
-					for i, t := range ts {
-						e.locks.Lock(t)
-						e.p.Propagate(&e.agg[t], src, uid, t, ws[i], deg)
-						e.locks.Unlock(t)
-						touched.Set(t)
-					}
-					cnt += int64(deg)
-				}
-				edgeWork.Add(worker, cnt)
-			})
-		} else {
-			verts := front.Vertices()
-			parallel.ForWorker(len(verts), 16, func(worker, startV, endV int) {
-				var cnt int64
-				for k := startV; k < endV; k++ {
-					uid := verts[k]
-					ts, ws := e.g.OutNeighbors(uid)
-					deg := len(ts)
-					oldSrc, newSrc := e.old[uid], e.vals[uid]
-					for i, t := range ts {
-						e.locks.Lock(t)
-						if e.delta != nil {
-							e.delta.PropagateDelta(&e.agg[t], oldSrc, newSrc, uid, t, ws[i], deg, deg)
-							cnt++
-						} else {
-							e.p.Retract(&e.agg[t], oldSrc, uid, t, ws[i], deg)
-							e.p.Propagate(&e.agg[t], newSrc, uid, t, ws[i], deg)
-							cnt += 2
-						}
-						e.locks.Unlock(t)
-						touched.Set(t)
-					}
-				}
-				edgeWork.Add(worker, cnt)
-			})
+		var src, targets *bitset.Bitset // nil at level 1: every vertex
+		if !first {
+			src = front.Bits()
+			targets = gatherTargets(e.g, front.Vertices())
 		}
+		// Level 1, and every level of a non-decomposable program (the
+		// re-evaluation strategy of §3.3), re-aggregates the whole
+		// in-neighborhood; later decomposable levels apply deltas.
+		fold := func(t VertexID, fresh bool) int64 {
+			us, ws := e.g.InNeighbors(t)
+			if src != nil && !hasInNeighbor(us, src) {
+				return 0
+			}
+			na := e.p.IdentityAgg()
+			for x, u := range us {
+				e.p.Propagate(&na, e.vals[u], u, t, ws[x], e.g.OutDegree(u))
+			}
+			e.agg[t] = na
+			return int64(len(us))
+		}
+		if !e.pull && !first {
+			fold = func(t VertexID, fresh bool) (cnt int64) {
+				us, ws := e.g.InNeighbors(t)
+				for x, u := range us {
+					if !src.Get(u) {
+						continue
+					}
+					deg := e.g.OutDegree(u)
+					if e.delta != nil {
+						e.delta.PropagateDelta(&e.agg[t], e.old[u], e.vals[u], u, t, ws[x], deg, deg)
+						cnt++
+					} else {
+						e.p.Retract(&e.agg[t], e.old[u], u, t, ws[x], deg)
+						e.p.Propagate(&e.agg[t], e.vals[u], u, t, ws[x], deg)
+						cnt += 2
+					}
+				}
+				return cnt
+			}
+		}
+		edgeWork += gather(targets, touched, fold)
 
 		// Compute phase: level 1 computes every vertex (c_1 = ∮(д_1)
 		// differs from c_0 in general); later levels only touched ones.
-		next := frontier.New(n)
-		computeOne := func(v VertexID, wasTouched bool) {
-			nv := e.p.Compute(v, e.agg[v])
-			if wasTouched && e.tracking() {
-				e.hist.Append(v, level, e.agg[v])
+		// Each owner writes its word of the next frontier.
+		next := bitset.New(n)
+		tw, nw := touched.Words(), next.Words()
+		ownedWords(n, func(worker, wi int) {
+			m := tw[wi]
+			if first {
+				m = touched.WordMask(wi)
 			}
-			if e.p.Changed(e.vals[v], nv) {
-				e.old[v] = e.vals[v]
-				e.vals[v] = nv
-				next.AddAtomic(v)
-			}
-		}
-		if first {
-			parallel.ForWorker(n, 256, func(worker, startV, endV int) {
-				for v := startV; v < endV; v++ {
-					computeOne(VertexID(v), touched.Get(VertexID(v)))
+			var word uint64
+			var cnt int64
+			for ; m != 0; m &= m - 1 {
+				b := bits.TrailingZeros64(m)
+				v := VertexID(wi*64 + b)
+				nv := e.p.Compute(v, e.agg[v])
+				if tw[wi]&(1<<b) != 0 && e.tracking() {
+					e.hist.Append(v, level, e.agg[v])
 				}
-				vertWork.Add(worker, int64(endV-startV))
-			})
-			if e.tracking() && e.opts.DisableVerticalPruning {
-				e.snapshotAll(level)
-			}
-		} else {
-			members := touched.Members(nil)
-			parallel.ForWorker(len(members), 64, func(worker, startV, endV int) {
-				for k := startV; k < endV; k++ {
-					computeOne(members[k], true)
+				if e.p.Changed(e.vals[v], nv) {
+					e.old[v] = e.vals[v]
+					e.vals[v] = nv
+					word |= 1 << b
 				}
-				vertWork.Add(worker, int64(endV-startV))
-			})
-			if e.tracking() && e.opts.DisableVerticalPruning {
-				e.snapshotAll(level)
+				cnt++
 			}
+			nw[wi] = word
+			vertWork.Add(worker, cnt)
+		})
+		if e.tracking() && e.opts.DisableVerticalPruning {
+			e.snapshotAll(level)
 		}
-		front = next
+		front = frontier.FromBits(next)
 		e.level = level
 		st.Iterations++
 	}
 
-	st.EdgeComputations = edgeWork.Sum()
+	st.EdgeComputations = edgeWork
 	st.VertexComputations = vertWork.Sum()
 	return st
 }
@@ -369,47 +358,6 @@ func (e *Engine[V, A]) snapshotAll(level int) {
 	for v := range e.agg {
 		e.hist.Append(VertexID(v), level, e.agg[v])
 	}
-}
-
-// pullLevel re-aggregates affected vertices by pulling their full
-// in-neighborhood — the re-evaluation strategy for non-decomposable
-// aggregations (§3.3). On the first level every vertex pulls; afterwards
-// only out-neighbors of the frontier.
-func (e *Engine[V, A]) pullLevel(first bool, front *frontier.Frontier, touched *bitset.Bitset, edgeWork *parallel.Counter) {
-	n := e.g.NumVertices()
-	var affected []VertexID
-	if first {
-		affected = make([]VertexID, n)
-		for v := range affected {
-			affected[v] = VertexID(v)
-		}
-	} else {
-		seen := bitset.New(n)
-		for _, u := range front.Vertices() {
-			ts, _ := e.g.OutNeighbors(u)
-			for _, t := range ts {
-				seen.Set(t)
-			}
-		}
-		affected = seen.Members(nil)
-	}
-	parallel.ForWorker(len(affected), 64, func(worker, startV, endV int) {
-		var cnt int64
-		for k := startV; k < endV; k++ {
-			v := affected[k]
-			na := e.p.IdentityAgg()
-			us, ws := e.g.InNeighbors(v)
-			for i, u := range us {
-				e.p.Propagate(&na, e.vals[u], u, v, ws[i], e.g.OutDegree(u))
-			}
-			cnt += int64(len(us))
-			e.agg[v] = na
-			if len(us) > 0 {
-				touched.Set(v)
-			}
-		}
-		edgeWork.Add(worker, cnt)
-	})
 }
 
 // runLigra performs full synchronous recomputation: every level

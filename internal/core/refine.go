@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/bitset"
@@ -76,6 +77,14 @@ type tailFix[A any] struct {
 	tail A
 }
 
+// srcVals holds a changed source's old and new value and out-degree at
+// the level being refined, computed once per level rather than per edge
+// (by the compute phase of the level before, for value changes).
+type srcVals[V any] struct {
+	ov, nv V
+	od, nd int
+}
+
 // refine performs dependency-driven value refinement (§3.3): iterate the
 // tracked levels 1..H, at each level applying the direct impact of added
 // edges (⊎ with old source values), deleted edges (⋃- with old values and
@@ -97,41 +106,24 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 		H = L
 	}
 
-	edgeWork := parallel.NewCounter()
+	var edgeWork int64
 	vertWork := parallel.NewCounter()
-
-	oldOutDeg := func(u VertexID) int {
-		if int(u) < oldN {
-			return oldG.OutDegree(u)
-		}
-		return 0
-	}
 
 	// Vertices whose out-degree changed: for degree-normalized programs
 	// their contribution over every out-edge changes at every level.
-	var degChanged []VertexID
+	var degChanged *bitset.Bitset
 	if e.deg {
-		seen := map[VertexID]struct{}{}
-		for _, ed := range res.Added {
-			seen[ed.From] = struct{}{}
-		}
-		for _, ed := range res.Deleted {
-			seen[ed.From] = struct{}{}
-		}
-		for u := range seen {
-			if oldOutDeg(u) != newG.OutDegree(u) {
-				degChanged = append(degChanged, u)
-			}
-		}
+		degChanged = degreeChanged(oldG, newG, res)
 	}
 
 	// Rolling stash of OLD values at the previous level for vertices
-	// whose history entry there was overwritten. New values never need
-	// stashing: post-refinement history IS the new run.
+	// whose history entry there was overwritten — exactly the vertices
+	// that level touched, so stashValid is its touched set. New values
+	// never need stashing: post-refinement history IS the new run.
+	// Every buffer is per call, so an idle engine holds none of it.
 	oldStash := make([]V, n)
 	stashValid := bitset.New(n)
 	nextOldStash := make([]V, n)
-	nextStashValid := bitset.New(n)
 
 	// pending maps extended vertices to their original stabilized tail
 	// aggregate; it is read-only during parallel phases and mutated only
@@ -139,12 +131,12 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 	pending := make(map[VertexID]A)
 
 	aggWork := make([]A, n)
-	aggInit := bitset.New(n)
+	var sv []srcVals[V] // ⋃△ source values; the pull path needs none
+	if !e.pull {
+		sv = make([]srcVals[V], n)
+	}
 
-	var changedPrev []VertexID    // old-vs-new value changed at level i-1
-	workers := parallel.Workers() // for per-worker extension collectors
-
-	touched := bitset.New(n)    // targets updated at the current level
+	changed := bitset.New(n)    // old-vs-new value changed at level i-1
 	touchedAny := bitset.New(n) // union across levels, for the hand-off
 
 	for i := 1; i <= H; i++ {
@@ -155,8 +147,6 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 			}
 			return e.valueAt(u, j)
 		}
-		// New values at level j are simply post-refinement history.
-		newValAt := func(u VertexID) V { return e.valueAt(u, j) }
 
 		// oldAggAt returns the pre-refinement aggregate at level i.
 		oldAggAt := func(t VertexID) A {
@@ -170,88 +160,108 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 			return a
 		}
 
-		touched.ClearAll()
+		// Sources of the transitive impact (⋃△): vertices whose value
+		// (or out-degree) changed update their contribution over every
+		// out-edge of the new graph.
+		src := changed
+		if degChanged != nil {
+			src = changed.Clone()
+			src.Or(degChanged)
+		}
+		sources := src.Members(nil)
+		touched := bitset.New(n) // targets updated at this level
 
+		var fold func(t VertexID, fresh bool) int64
 		if e.pull {
-			e.refinePullLevel(newG, res, changedPrev, degChanged, newValAt, touched, aggWork, edgeWork)
-		} else {
-			// The work aggregate for a touched target starts from the old
-			// aggregate at this level; first touch initializes it under
-			// the target's stripe lock.
-			ensure := func(t VertexID) {
-				if !aggInit.Get(t) {
-					aggWork[t] = e.p.CloneAgg(oldAggAt(t))
-					aggInit.Set(t)
+			// Non-decomposable: affected vertices re-aggregate their
+			// entire in-neighborhood of the new graph using new source
+			// values (§3.3's re-evaluation strategy).
+			for _, list := range [][]graph.Edge{res.Added, res.Deleted} {
+				for _, ed := range list {
+					touched.Set(ed.To)
 				}
 			}
-
-			// (a) Direct impact: added edges re-propagate old source
-			// values (⊎); deleted edges retract them (⋃-), both with old
-			// degrees and the deleted edges' original weights.
-			parallel.ForWorker(len(res.Added), 64, func(worker, s, t2 int) {
-				for k := s; k < t2; k++ {
-					ed := res.Added[k]
-					ov := oldValAt(ed.From)
-					e.locks.Lock(ed.To)
-					ensure(ed.To)
-					e.p.Propagate(&aggWork[ed.To], ov, ed.From, ed.To, ed.Weight, oldOutDeg(ed.From))
-					e.locks.Unlock(ed.To)
-					touched.Set(ed.To)
+			fold = func(t VertexID, fresh bool) int64 {
+				us, ws := newG.InNeighbors(t)
+				if fresh && !hasInNeighbor(us, src) {
+					return 0
 				}
-				edgeWork.Add(worker, int64(t2-s))
-			})
-			parallel.ForWorker(len(res.Deleted), 64, func(worker, s, t2 int) {
-				for k := s; k < t2; k++ {
-					ed := res.Deleted[k]
-					ov := oldValAt(ed.From)
-					e.locks.Lock(ed.To)
-					ensure(ed.To)
-					e.p.Retract(&aggWork[ed.To], ov, ed.From, ed.To, ed.Weight, oldOutDeg(ed.From))
-					e.locks.Unlock(ed.To)
-					touched.Set(ed.To)
+				na := e.p.IdentityAgg()
+				for x, u := range us {
+					e.p.Propagate(&na, e.valueAt(u, j), u, t, ws[x], newG.OutDegree(u))
 				}
-				edgeWork.Add(worker, int64(t2-s))
-			})
+				aggWork[t] = na
+				return int64(len(us))
+			}
+		} else {
+			// The work aggregate for a touched target starts from the old
+			// aggregate at this level.
+			ensure := func(t VertexID) {
+				if touched.Set(t) {
+					aggWork[t] = e.p.CloneAgg(oldAggAt(t))
+				}
+			}
+			// (a) Direct impact, in batch order: added edges re-propagate
+			// old source values (⊎); deleted edges retract them (⋃-),
+			// both with old degrees and the deleted edges' original
+			// weights.
+			for _, ed := range res.Added {
+				ensure(ed.To)
+				e.p.Propagate(&aggWork[ed.To], oldValAt(ed.From), ed.From, ed.To, ed.Weight, outDegree(oldG, ed.From))
+			}
+			for _, ed := range res.Deleted {
+				ensure(ed.To)
+				e.p.Retract(&aggWork[ed.To], oldValAt(ed.From), ed.From, ed.To, ed.Weight, outDegree(oldG, ed.From))
+			}
+			edgeWork += int64(len(res.Added) + len(res.Deleted))
 
-			// (b) Transitive impact (⋃△): sources whose value (or
-			// out-degree) changed update their contribution over every
-			// out-edge of the new graph.
-			sources := mergeSources(n, changedPrev, degChanged)
-			parallel.ForWorker(len(sources), 16, func(worker, s, t2 int) {
-				var cnt int64
-				for k := s; k < t2; k++ {
-					u := sources[k]
-					ov, nv := oldValAt(u), newValAt(u)
-					odeg, ndeg := oldOutDeg(u), newG.OutDegree(u)
-					ts, ws := newG.OutNeighbors(u)
-					for x, tv := range ts {
-						e.locks.Lock(tv)
-						ensure(tv)
-						if e.delta != nil {
-							e.delta.PropagateDelta(&aggWork[tv], ov, nv, u, tv, ws[x], odeg, ndeg)
-							cnt++
-						} else {
-							e.p.Retract(&aggWork[tv], ov, u, tv, ws[x], odeg)
-							e.p.Propagate(&aggWork[tv], nv, u, tv, ws[x], ndeg)
-							cnt += 2
-						}
-						e.locks.Unlock(tv)
-						touched.Set(tv)
+			// (b) Transitive impact, gathered per target. The compute
+			// phase recorded every changed source's srcVals; fill in the
+			// degree-changed rest.
+			if degChanged != nil {
+				degChanged.Range(func(u VertexID) {
+					if !changed.Get(u) {
+						sv[u] = srcVals[V]{oldValAt(u), e.valueAt(u, j), outDegree(oldG, u), newG.OutDegree(u)}
+					}
+				})
+			}
+			fold = func(t VertexID, fresh bool) (cnt int64) {
+				us, ws := newG.InNeighbors(t)
+				for x, u := range us {
+					if !src.Get(u) {
+						continue
+					}
+					if fresh {
+						aggWork[t] = e.p.CloneAgg(oldAggAt(t))
+						fresh = false
+					}
+					s := &sv[u]
+					if e.delta != nil {
+						e.delta.PropagateDelta(&aggWork[t], s.ov, s.nv, u, t, ws[x], s.od, s.nd)
+						cnt++
+					} else {
+						e.p.Retract(&aggWork[t], s.ov, u, t, ws[x], s.od)
+						e.p.Propagate(&aggWork[t], s.nv, u, t, ws[x], s.nd)
+						cnt += 2
 					}
 				}
-				edgeWork.Add(worker, cnt)
-			})
+				return cnt
+			}
 		}
+		edgeWork += gather(gatherTargets(newG, sources), touched, fold)
 
 		// Compute phase: derive old and new values at this level, store
-		// the refined aggregate, and build the next changed set.
-		members := touched.Members(nil)
-		nextStashValid.ClearAll()
-		changedF := frontier.New(n)
-		extensions := make([][]tailFix[A], workers)
-		parallel.ForWorker(len(members), 64, func(worker, s, t2 int) {
-			for k := s; k < t2; k++ {
-				v := members[k]
+		// the refined aggregate, and build the next changed set. Each
+		// owner writes its words of the changed set.
+		changed = bitset.New(n)
+		extensions := make([][]tailFix[A], parallel.Workers())
+		tw, cw := touched.Words(), changed.Words()
+		ownedWords(n, func(worker, wi int) {
+			var word uint64
+			var cnt int64
+			for m := tw[wi]; m != 0; m &= m - 1 {
+				b := bits.TrailingZeros64(m)
+				v := VertexID(wi*64 + b)
 				oldAgg := oldAggAt(v)
 				// Refining at or past the final stored entry destroys the
 				// stabilized tail that lookups beyond it rely on: remember
@@ -263,15 +273,19 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 				newVal := e.p.Compute(v, aggWork[v])
 				e.hist.Append(v, i, aggWork[v])
 				nextOldStash[v] = oldVal
-				nextStashValid.Set(v)
 				if touchesTail && !hadPending {
 					extensions[worker] = append(extensions[worker], tailFix[A]{v, e.p.CloneAgg(oldAgg)})
 				}
 				if e.p.Changed(oldVal, newVal) {
-					changedF.AddAtomic(v)
+					word |= 1 << b
+					if sv != nil {
+						sv[v] = srcVals[V]{oldVal, newVal, outDegree(oldG, v), newG.OutDegree(v)}
+					}
 				}
+				cnt++
 			}
-			vertWork.Add(worker, int64(t2-s))
+			cw[wi] = word
+			vertWork.Add(worker, cnt)
 		})
 
 		// Tail restores: extended vertices left untouched at this level
@@ -289,11 +303,9 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 			}
 		}
 
-		changedPrev = changedF.Vertices()
 		touchedAny.Or(touched)
 		oldStash, nextOldStash = nextOldStash, oldStash
-		stashValid, nextStashValid = nextStashValid, stashValid
-		aggInit.ClearAll()
+		stashValid = touched
 		st.RefineIterations++
 	}
 
@@ -356,88 +368,18 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 		parallel.For(n, func(v int) { refresh(v) })
 	}
 	e.level = H
-	refineEdges := edgeWork.Sum()
 	spRefine.End()
 	spHybrid := e.opts.Tracer.StartPhase("hybrid")
 	st2 := e.runDelta(H+1, seed, e.opts.MaxIterations)
 	spHybrid.End()
 
-	st.EdgeComputations = refineEdges + st2.EdgeComputations
+	st.EdgeComputations = edgeWork + st2.EdgeComputations
 	st.VertexComputations = vertWork.Sum() + st2.VertexComputations
 	st.Iterations = st2.Iterations
 	st.HybridIterations = st2.Iterations
-	e.met.refineEdges.Add(refineEdges)
+	e.met.refineEdges.Add(edgeWork)
 	e.met.hybridEdges.Add(st2.EdgeComputations)
 	return st
-}
-
-// refinePullLevel is the non-decomposable path: affected vertices
-// re-aggregate their entire in-neighborhood of the new graph using new
-// source values (§3.3's re-evaluation strategy).
-func (e *Engine[V, A]) refinePullLevel(
-	newG *graph.Graph,
-	res graph.ApplyResult,
-	changedPrev, degChanged []VertexID,
-	newValAt func(VertexID) V,
-	touched *bitset.Bitset,
-	aggWork []A,
-	edgeWork *parallel.Counter,
-) {
-	for _, ed := range res.Added {
-		touched.Set(ed.To)
-	}
-	for _, ed := range res.Deleted {
-		touched.Set(ed.To)
-	}
-	mark := func(us []VertexID) {
-		for _, u := range us {
-			ts, _ := newG.OutNeighbors(u)
-			for _, t := range ts {
-				touched.Set(t)
-			}
-		}
-	}
-	mark(changedPrev)
-	mark(degChanged)
-
-	affected := touched.Members(nil)
-	parallel.ForWorker(len(affected), 64, func(worker, s, t2 int) {
-		var cnt int64
-		for k := s; k < t2; k++ {
-			v := affected[k]
-			na := e.p.IdentityAgg()
-			us, ws := newG.InNeighbors(v)
-			for i, u := range us {
-				e.p.Propagate(&na, newValAt(u), u, v, ws[i], newG.OutDegree(u))
-			}
-			cnt += int64(len(us))
-			aggWork[v] = na
-		}
-		edgeWork.Add(worker, cnt)
-	})
-}
-
-// mergeSources deduplicates the union of two vertex lists.
-func mergeSources(n int, a, b []VertexID) []VertexID {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	seen := bitset.New(n)
-	out := make([]VertexID, 0, len(a)+len(b))
-	for _, v := range a {
-		if seen.Set(v) {
-			out = append(out, v)
-		}
-	}
-	for _, v := range b {
-		if seen.Set(v) {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // naiveContinue is the incorrect-by-design baseline of §2.2: reuse the
@@ -447,82 +389,51 @@ func mergeSources(n int, a, b []VertexID) []VertexID {
 func (e *Engine[V, A]) naiveContinue(oldG, newG *graph.Graph, res graph.ApplyResult) Stats {
 	e.g = newG
 	n := newG.NumVertices()
-	oldN := oldG.NumVertices()
 	e.grow(n)
 
-	edgeWork := parallel.NewCounter()
+	var edgeWork int64
 	touched := bitset.New(n)
-	oldOutDeg := func(u VertexID) int {
-		if int(u) < oldN {
-			return oldG.OutDegree(u)
-		}
-		return 0
-	}
 
 	if e.pull {
-		for _, ed := range res.Added {
-			touched.Set(ed.To)
-		}
-		for _, ed := range res.Deleted {
-			touched.Set(ed.To)
-		}
-		affected := touched.Members(nil)
-		parallel.ForWorker(len(affected), 64, func(worker, s, t2 int) {
-			var cnt int64
-			for k := s; k < t2; k++ {
-				v := affected[k]
-				na := e.p.IdentityAgg()
-				us, ws := newG.InNeighbors(v)
-				for i, u := range us {
-					e.p.Propagate(&na, e.vals[u], u, v, ws[i], newG.OutDegree(u))
-				}
-				cnt += int64(len(us))
-				e.agg[v] = na
+		for _, list := range [][]graph.Edge{res.Added, res.Deleted} {
+			for _, ed := range list {
+				touched.Set(ed.To)
 			}
-			edgeWork.Add(worker, cnt)
+		}
+		edgeWork = gather(touched, touched, func(v VertexID, _ bool) int64 {
+			na := e.p.IdentityAgg()
+			us, ws := newG.InNeighbors(v)
+			for i, u := range us {
+				e.p.Propagate(&na, e.vals[u], u, v, ws[i], newG.OutDegree(u))
+			}
+			e.agg[v] = na
+			return int64(len(us))
 		})
 	} else {
 		for _, ed := range res.Added {
-			e.locks.Lock(ed.To)
 			e.p.Propagate(&e.agg[ed.To], e.vals[ed.From], ed.From, ed.To, ed.Weight, newG.OutDegree(ed.From))
-			e.locks.Unlock(ed.To)
 			touched.Set(ed.To)
-			edgeWork.Add(0, 1)
 		}
 		for _, ed := range res.Deleted {
-			e.locks.Lock(ed.To)
-			e.p.Retract(&e.agg[ed.To], e.vals[ed.From], ed.From, ed.To, ed.Weight, oldOutDeg(ed.From))
-			e.locks.Unlock(ed.To)
+			e.p.Retract(&e.agg[ed.To], e.vals[ed.From], ed.From, ed.To, ed.Weight, outDegree(oldG, ed.From))
 			touched.Set(ed.To)
-			edgeWork.Add(0, 1)
 		}
+		edgeWork += int64(len(res.Added) + len(res.Deleted))
 		if e.deg {
-			seen := map[VertexID]struct{}{}
-			for _, ed := range res.Added {
-				seen[ed.From] = struct{}{}
-			}
-			for _, ed := range res.Deleted {
-				seen[ed.From] = struct{}{}
-			}
-			for u := range seen {
-				odeg, ndeg := oldOutDeg(u), newG.OutDegree(u)
-				if odeg == ndeg {
-					continue
-				}
+			degreeChanged(oldG, newG, res).Range(func(u VertexID) {
+				odeg, ndeg := outDegree(oldG, u), newG.OutDegree(u)
 				ts, ws := newG.OutNeighbors(u)
 				for x, t := range ts {
-					e.locks.Lock(t)
 					if e.delta != nil {
 						e.delta.PropagateDelta(&e.agg[t], e.vals[u], e.vals[u], u, t, ws[x], odeg, ndeg)
 					} else {
 						e.p.Retract(&e.agg[t], e.vals[u], u, t, ws[x], odeg)
 						e.p.Propagate(&e.agg[t], e.vals[u], u, t, ws[x], ndeg)
 					}
-					e.locks.Unlock(t)
 					touched.Set(t)
-					edgeWork.Add(0, 1)
 				}
-			}
+				edgeWork += int64(len(ts))
+			})
 		}
 	}
 
@@ -537,7 +448,7 @@ func (e *Engine[V, A]) naiveContinue(oldG, newG *graph.Graph, res graph.ApplyRes
 		}
 	}
 	st := e.runDelta(e.level+1, seed, e.level+e.opts.MaxIterations)
-	st.EdgeComputations += edgeWork.Sum()
+	st.EdgeComputations += edgeWork
 	st.VertexComputations += int64(len(members))
 	return st
 }

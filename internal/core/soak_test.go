@@ -139,7 +139,7 @@ func TestStatsAccumulate(t *testing.T) {
 }
 
 // TestRefinementUnderConcurrency re-runs the PR oracle with GOMAXPROCS
-// inflated so the engine's worker-spawning and striped-locking paths
+// inflated so the engine's worker-spawning and owner-computes paths
 // execute even on single-CPU machines.
 func TestRefinementUnderConcurrency(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)

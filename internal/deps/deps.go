@@ -89,8 +89,12 @@ func (s *Store[A]) Append(v uint32, level int, agg A) {
 	}
 	h := s.hist[v]
 	if level <= len(h) {
-		// Overwrite (refinement): account the delta in footprint.
-		s.heapBytes.Add(int64(s.bytes(agg)) - int64(s.bytes(h[level-1])))
+		// Overwrite (refinement): account the delta in footprint. A
+		// same-size overwrite skips the shared counter, which parallel
+		// refinement would otherwise bounce between cores per vertex.
+		if d := int64(s.bytes(agg)) - int64(s.bytes(h[level-1])); d != 0 {
+			s.heapBytes.Add(d)
+		}
 		h[level-1] = s.clone(agg)
 		return
 	}

@@ -50,6 +50,15 @@ func FromVertices(n int, vs []uint32) *Frontier {
 	return f
 }
 
+// FromBits returns a dense frontier over the members of b and takes
+// ownership of b; owner-computes loops fill b word by word and then wrap
+// it.
+func FromBits(b *bitset.Bitset) *Frontier {
+	f := &Frontier{n: b.Len(), bits: b}
+	f.dense.Store(true)
+	return f
+}
+
 // Len returns the number of vertices in the subset.
 func (f *Frontier) Len() int {
 	if f.dense.Load() {
@@ -75,8 +84,9 @@ func (f *Frontier) AddAtomic(v uint32) bool {
 	// Sparse list appends under no lock would race; dense mode is the
 	// concurrent-friendly representation. The CAS elects a single flipper
 	// to drop the sparse list; membership stays exact via the bitset and
-	// Vertices() recovers the ordered list.
-	if f.dense.CompareAndSwap(false, true) {
+	// Vertices() recovers the ordered list. The load keeps every later
+	// member from writing the shared flag's cache line.
+	if !f.dense.Load() && f.dense.CompareAndSwap(false, true) {
 		f.sparse = nil
 	}
 	return true

@@ -3,6 +3,7 @@ package frontier
 import (
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/parallel"
 )
 
@@ -50,6 +51,17 @@ func TestFromVertices(t *testing.T) {
 		if vs[i] != want[i] {
 			t.Fatalf("Vertices = %v", vs)
 		}
+	}
+}
+
+func TestFromBits(t *testing.T) {
+	b := bitset.New(130)
+	b.Words()[0] = 1<<3 | 1<<63
+	b.Words()[2] = 1 << 1
+	f := FromBits(b)
+	vs := f.Vertices()
+	if !f.Dense() || f.Len() != 3 || len(vs) != 3 || vs[0] != 3 || vs[1] != 63 || vs[2] != 129 {
+		t.Fatalf("FromBits: dense=%v len=%d vertices=%v", f.Dense(), f.Len(), vs)
 	}
 }
 

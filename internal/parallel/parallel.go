@@ -1,7 +1,8 @@
 // Package parallel provides the shared-memory parallel execution
 // primitives used throughout the GraphBolt engine: grained parallel-for
-// loops, atomic float operations, striped spinlocks for per-vertex
-// aggregate updates, and per-worker counters.
+// loops, atomic float operations, and per-worker counters. The engine
+// updates aggregates owner-computes (one writer per vertex range), so
+// the package offers no per-vertex locks.
 //
 // The primitives intentionally mirror what a Ligra-style runtime needs:
 // flat fork-join loops over vertex and edge ranges, with no allocation on

@@ -135,22 +135,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestStripedLocksExclusion(t *testing.T) {
-	locks := NewStripedLocks()
-	counts := make([]int, 64)
-	For(64_000, func(i int) {
-		k := uint32(i % 64)
-		locks.Lock(k)
-		counts[k]++
-		locks.Unlock(k)
-	})
-	for k, c := range counts {
-		if c != 1000 {
-			t.Fatalf("slot %d count = %d, want 1000", k, c)
-		}
-	}
-}
-
 // Property: parallel float sum equals sequential sum exactly when all
 // inputs are integral (no rounding ambiguity regardless of order).
 func TestQuickParallelSumOfInts(t *testing.T) {

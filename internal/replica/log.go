@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -83,15 +84,21 @@ func NewLog(opts LogOptions) *Log {
 // checkpoint covers them. Call once after durable.Open, with
 // Recovery().SnapshotSeq, when the engine recovered from a checkpoint;
 // records replayed from the WAL suffix arrive through Append as usual.
+// Retained records at or below seq are trimmed, so the next Append
+// (seq+1 once the floor passes last) starts a fresh contiguous window.
 func (l *Log) SetFloor(seq uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if seq > l.floor {
-		l.floor = seq
+	if seq <= l.floor {
+		return
 	}
-	if l.last < seq {
-		l.last = seq
+	l.floor = seq
+	if len(l.frames) > 0 && seq >= l.first {
+		drop := min(seq-l.first+1, uint64(len(l.frames)))
+		l.frames = append([][]byte(nil), l.frames[drop:]...)
+		l.first = seq + 1
 	}
+	l.last = max(l.last, seq)
 }
 
 // Append stores one journaled record. Its signature matches
@@ -238,6 +245,13 @@ func (l *Log) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	for {
 		frames, last, closed, notify := l.snapshotFrom(next)
 		for _, frame := range frames {
+			// Bytes 8..16 are the frame's seq prefix. A mismatch means a
+			// hole in the index; streaming on would make the follower
+			// drop, reconnect and hit the same hole forever.
+			if seq := binary.LittleEndian.Uint64(frame[8:16]); seq != next+1 {
+				l.logger.Error("replica: log index hole; stream closed", "want", next+1, "got", seq)
+				return
+			}
 			if _, err := w.Write(appendRecord(nil, frame)); err != nil {
 				return
 			}

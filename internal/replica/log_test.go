@@ -1,11 +1,13 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -54,6 +56,87 @@ func TestLogSetFloor(t *testing.T) {
 	}
 	if got := l.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)
+	}
+}
+
+// windowSeqs decodes the seqs snapshotFrom(from) would stream.
+func windowSeqs(t *testing.T, l *Log, from uint64) []uint64 {
+	t.Helper()
+	frames, _, _, _ := l.snapshotFrom(from)
+	var seqs []uint64
+	for _, f := range frames {
+		r, err := wal.NewFrameReader(bytes.NewReader(f)).Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, r.Seq)
+	}
+	return seqs
+}
+
+// TestLogSetFloorTrims: a floor inside the retained window trims the
+// frames at or below it; a floor past the newest record empties the
+// window, so the next Append starts a fresh one instead of landing
+// after the stale tail.
+func TestLogSetFloorTrims(t *testing.T) {
+	for _, tc := range []struct {
+		floor    uint64
+		wantLen  int
+		from     uint64
+		wantSeqs []uint64
+	}{
+		{floor: 3, wantLen: 2, from: 3, wantSeqs: []uint64{4, 5, 6}},
+		{floor: 9, wantLen: 0, from: 9, wantSeqs: []uint64{10}},
+	} {
+		l := NewLog(LogOptions{Logger: discardLogger()})
+		for seq := uint64(1); seq <= 5; seq++ {
+			l.Append(rec(seq))
+		}
+		l.SetFloor(tc.floor)
+		if l.Floor() != tc.floor || l.Len() != tc.wantLen {
+			t.Fatalf("SetFloor(%d): floor %d len %d, want %d %d", tc.floor, l.Floor(), l.Len(), tc.floor, tc.wantLen)
+		}
+		next := max(l.Last(), 5) + 1
+		l.Append(rec(next))
+		if got := windowSeqs(t, l, tc.from); !slices.Equal(got, tc.wantSeqs) {
+			t.Fatalf("SetFloor(%d): window after %d = %v, want %v", tc.floor, tc.from, got, tc.wantSeqs)
+		}
+	}
+}
+
+// TestLogHandlerRefusesHole: a frame whose seq does not follow the
+// previous one ends the stream instead of shipping out of order.
+func TestLogHandlerRefusesHole(t *testing.T) {
+	l := NewLog(LogOptions{Heartbeat: time.Hour, Logger: discardLogger()})
+	l.Append(rec(1))
+	l.Append(rec(2))
+	l.mu.Lock()
+	l.frames[1] = wal.EncodeFrame(7, rec(7).Batch) // corrupt the index
+	l.mu.Unlock()
+	srv := httptest.NewServer(l.Handler())
+	defer srv.Close()
+	client := &http.Client{Timeout: 5 * time.Second} // bounds a stream that never closes
+	resp, err := client.Get(srv.URL + "?from=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	wr := newWireReader(resp.Body)
+	if _, err := wr.hello(); err != nil {
+		t.Fatal(err)
+	}
+	var seqs []uint64
+	for {
+		msg, err := wr.next()
+		if err != nil {
+			break
+		}
+		if msg.kind == kindRecord {
+			seqs = append(seqs, msg.rec.Seq)
+		}
+	}
+	if !slices.Equal(seqs, []uint64{1}) {
+		t.Fatalf("streamed %v, want [1] then close", seqs)
 	}
 }
 

@@ -232,8 +232,12 @@ type ServerOptions struct {
 	// its own engine and single-writer apply loop, behind a router that
 	// splits every submitted batch, applies sub-batches concurrently,
 	// holds multi-shard batches at a cross-shard generation barrier, and
-	// publishes merged snapshots. Snapshot/SnapshotAt/Diff/Wait keep
-	// their exact semantics over the merged view. Queue depth, admission
+	// publishes merged snapshots. Snapshot/SnapshotAt/Diff/Wait address
+	// the merged view, and its values equal a single engine's only for
+	// partition-closed streams: an edge whose endpoints have different
+	// owners is refined on its destination's shard against the source's
+	// shard-local value, so such streams publish per-shard
+	// approximations (see DESIGN.md). Queue depth, admission
 	// and coalescing options apply per shard; failure domains (poison
 	// quarantine, degraded mode, terminal failures) are per shard too.
 	// 0 and 1 mean the classic single-loop server.
